@@ -5,11 +5,12 @@
 //!
 //! Three flavors drive the same mask enumeration on the same engine:
 //!
-//! * `compiled` — [`SweepEngine::route_outcome_compiled`]: dense rule tables,
-//!   a state-id lookup plus a first-alive scan per hop,
-//! * `sweep_interpreted` — [`SweepEngine::route_outcome`]: the same overlay
-//!   machinery but dynamic dispatch into `next_hop` per hop (the PR 2 state
-//!   of the art, kept as the intermediate data point),
+//! * `compiled` — [`SweepEngine::route`] with [`Forwarder::Compiled`]: the
+//!   walk kernel on dense rule tables, a state-id lookup plus a first-alive
+//!   scan per hop,
+//! * `sweep_interpreted` — [`SweepEngine::route`] with
+//!   [`Forwarder::Interpreted`]: the same overlay and kernel but dynamic
+//!   dispatch into `next_hop` per hop (kept as the intermediate data point),
 //! * `trait_object` — the historical baseline, inlined: the plain
 //!   [`route`] interpreter over a [`FailureSet`] materialized per mask, which
 //!   is what every verification oracle ran before the sweep engine existed
@@ -26,6 +27,7 @@ use frr_routing::failure::{FailureMasks, FailureSet};
 use frr_routing::pattern::{ForwardingPattern, RotorPattern, ShortestPathPattern};
 use frr_routing::simulator::{route, state_space_bound, tour};
 use frr_routing::sweep::SweepEngine;
+use frr_routing::walk::Forwarder;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -50,11 +52,12 @@ fn sweep_routing<P: ForwardingPattern + ?Sized>(
     engine: &mut SweepEngine<'_>,
     g: &Graph,
     pattern: &P,
-    compiled: &frr_routing::compiled::CompiledPattern,
+    compiled: &Forwarder<'_, P>,
     flavor: Flavor,
     max_failures: usize,
 ) -> u64 {
     let max_hops = state_space_bound(g);
+    let interpreted = Forwarder::Interpreted(pattern);
     let mut delivered = 0u64;
     for mask in FailureMasks::with_max_failures(g.edge_count(), Some(max_failures)) {
         engine.load_mask(&mask);
@@ -65,8 +68,8 @@ fn sweep_routing<P: ForwardingPattern + ?Sized>(
                     continue;
                 }
                 let outcome = match flavor {
-                    Flavor::Compiled => engine.route_outcome_compiled(compiled, s, t, max_hops),
-                    Flavor::SweepInterpreted => engine.route_outcome(pattern, s, t, max_hops),
+                    Flavor::Compiled => engine.route(compiled, s, t, max_hops),
+                    Flavor::SweepInterpreted => engine.route(&interpreted, s, t, max_hops),
                     Flavor::TraitObject => {
                         route(g, failures.as_ref().unwrap(), pattern, s, t, max_hops).outcome
                     }
@@ -83,19 +86,20 @@ fn sweep_touring<P: ForwardingPattern + ?Sized>(
     engine: &mut SweepEngine<'_>,
     g: &Graph,
     pattern: &P,
-    compiled: &frr_routing::compiled::CompiledPattern,
+    compiled: &Forwarder<'_, P>,
     flavor: Flavor,
     max_failures: usize,
 ) -> u64 {
     let max_hops = state_space_bound(g);
+    let interpreted = Forwarder::Interpreted(pattern);
     let mut covered = 0u64;
     for mask in FailureMasks::with_max_failures(g.edge_count(), Some(max_failures)) {
         engine.load_mask(&mask);
         let failures = (flavor == Flavor::TraitObject).then(|| engine.failure_set(&mask));
         for start in g.nodes() {
             let ok = match flavor {
-                Flavor::Compiled => engine.tour_covers_compiled(compiled, start, max_hops),
-                Flavor::SweepInterpreted => engine.tour_covers(pattern, start, max_hops),
+                Flavor::Compiled => engine.tour_covers(compiled, start, max_hops),
+                Flavor::SweepInterpreted => engine.tour_covers(&interpreted, start, max_hops),
                 Flavor::TraitObject => {
                     tour(g, failures.as_ref().unwrap(), pattern, start, max_hops).covered_component
                 }
@@ -131,7 +135,8 @@ fn bench_k7_sweeps(c: &mut Criterion) {
         ),
     ];
     for (label, pattern) in &patterns {
-        let compiled = pattern.compile(&k7).expect("K7 compiles");
+        let compiled = Forwarder::new(&k7, pattern);
+        assert!(matches!(compiled, Forwarder::Compiled(_)), "K7 compiles");
         let mut engine = SweepEngine::new(&k7);
         let expect = sweep_routing(&mut engine, &k7, pattern, &compiled, Flavor::TraitObject, 5);
         for (flavor, _) in FLAVORS {
@@ -159,7 +164,8 @@ fn bench_k7_sweeps(c: &mut Criterion) {
 
     // Touring sweep: Theorem 17's Hamiltonian-cycle switcher, ≤ 3 failures.
     let touring = HamiltonianTouringPattern::for_complete(7);
-    let compiled = touring.compile(&k7).expect("K7 compiles");
+    let compiled = Forwarder::new(&k7, &touring);
+    assert!(matches!(compiled, Forwarder::Compiled(_)), "K7 compiles");
     let mut engine = SweepEngine::new(&k7);
     let expect = sweep_touring(
         &mut engine,

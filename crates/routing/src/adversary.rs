@@ -10,15 +10,15 @@
 //! arbitrary graphs.
 
 use crate::budget::{Progress, RunBudget, StopCause, Verdict, WorkerPanicked};
-use crate::compiled::{CompilePattern, CompiledPattern, CompiledSim};
+use crate::compiled::{CompilePattern, CompiledSim};
 use crate::failure::FailureSet;
 use crate::pattern::ForwardingPattern;
-use crate::resilience::compile_guarded;
 use crate::simulator::{route, state_space_bound, Outcome};
 use crate::sweep::{
     failure_set_at, sharded_first, sharded_first_controlled, sweep_find_first_budgeted,
     sweep_find_first_limited, ShardEvent, SweepEnd, SweepEngine,
 };
+use crate::walk::Forwarder;
 use frr_graph::{Edge, Graph, Node};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,8 +108,7 @@ impl Adversary for BruteForceAdversary {
         pattern: &P,
     ) -> Option<Counterexample> {
         let max_hops = state_space_bound(g);
-        let compiled = pattern.compile(g);
-        let compiled = compiled.as_ref();
+        let forwarder = Forwarder::new(g, pattern);
         sweep_find_first_limited(
             g,
             self.max_failures,
@@ -120,11 +119,7 @@ impl Adversary for BruteForceAdversary {
                         if s == t || !engine.same_component(s, t) {
                             continue;
                         }
-                        let outcome = match compiled {
-                            Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-                            None => engine.route_outcome(pattern, s, t, max_hops),
-                        };
-                        if !outcome.is_delivered() {
+                        if !engine.route(&forwarder, s, t, max_hops).is_delivered() {
                             let failures = engine.current_failure_set();
                             let result = route(g, &failures, pattern, s, t, max_hops);
                             return Some(Counterexample {
@@ -167,8 +162,7 @@ impl BruteForceAdversary {
         budget: &RunBudget,
     ) -> Result<Verdict, WorkerPanicked> {
         let max_hops = state_space_bound(g);
-        let compiled = compile_guarded(g, pattern);
-        let compiled = compiled.as_ref();
+        let forwarder = Forwarder::new(g, pattern);
         let mask_budget = self.max_sets.min(budget.work_limit().unwrap_or(u64::MAX));
         let report = sweep_find_first_budgeted(
             g,
@@ -181,11 +175,7 @@ impl BruteForceAdversary {
                         if s == t || !engine.same_component(s, t) {
                             continue;
                         }
-                        let outcome = match compiled {
-                            Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-                            None => engine.route_outcome(pattern, s, t, max_hops),
-                        };
-                        if !outcome.is_delivered() {
+                        if !engine.route(&forwarder, s, t, max_hops).is_delivered() {
                             let failures = engine.current_failure_set();
                             let result = route(g, &failures, pattern, s, t, max_hops);
                             return Some(Counterexample {
@@ -284,18 +274,16 @@ impl RandomAdversary {
     }
 
     /// Probes one trial's scenario ([`RandomAdversary::sample_scenario`]).
-    /// `sim` carries the worker's compiled-pattern scratch; scenarios are
-    /// simulated on the dense tables when the pattern compiled.
+    /// `sim` is the worker's scratch from [`Forwarder::scratch`].
     #[allow(clippy::too_many_arguments)]
     fn probe_trial<P: ForwardingPattern + ?Sized>(
         &self,
         g: &Graph,
-        pattern: &P,
-        compiled: Option<&CompiledPattern>,
+        forwarder: &Forwarder<'_, P>,
         nodes: &[Node],
         edges: &[Edge],
         pool: &mut Vec<Edge>,
-        sim: &mut Option<CompiledSim>,
+        sim: &mut CompiledSim,
         max_hops: usize,
         trial: u64,
     ) -> Option<Counterexample> {
@@ -303,13 +291,7 @@ impl RandomAdversary {
         if s == t || !failures.keeps_connected(g, s, t) {
             return None;
         }
-        let result = match (compiled, sim) {
-            (Some(cp), Some(sim)) => {
-                sim.load_failures(cp, &failures);
-                sim.route(cp, s, t, max_hops)
-            }
-            _ => route(g, &failures, pattern, s, t, max_hops),
-        };
+        let result = forwarder.route_failures(g, &failures, s, t, max_hops, sim);
         if result.outcome.is_delivered() {
             return None;
         }
@@ -335,25 +317,17 @@ impl Adversary for RandomAdversary {
             return None;
         }
         let edges = g.edges();
-        let compiled = pattern.compile(g);
-        let compiled = compiled.as_ref();
+        let forwarder = Forwarder::new(g, pattern);
         // Shard the trial range with the same deterministic smallest-index
         // machinery the mask sweeps use; each worker's state is its scratch
-        // pool buffer plus its compiled-simulation scratch.
+        // pool buffer plus its simulation scratch.
         sharded_first(
             self.trials as u64,
             64,
             64,
-            || {
-                (
-                    Vec::with_capacity(edges.len()),
-                    compiled.map(CompiledSim::new),
-                )
-            },
+            || (Vec::with_capacity(edges.len()), forwarder.scratch()),
             |(pool, sim), trial| {
-                self.probe_trial(
-                    g, pattern, compiled, &nodes, &edges, pool, sim, max_hops, trial,
-                )
+                self.probe_trial(g, &forwarder, &nodes, &edges, pool, sim, max_hops, trial)
             },
         )
     }
@@ -398,24 +372,16 @@ impl RandomAdversary {
             return Ok(indeterminate(0, StopCause::WorkBudget));
         }
         let edges = g.edges();
-        let compiled = compile_guarded(g, pattern);
-        let compiled = compiled.as_ref();
+        let forwarder = Forwarder::new(g, pattern);
         let stop = budget.stop_signal();
         let outcome = sharded_first_controlled(
             trials,
             64,
             64,
             &stop,
-            || {
-                (
-                    Vec::with_capacity(edges.len()),
-                    compiled.map(CompiledSim::new),
-                )
-            },
+            || (Vec::with_capacity(edges.len()), forwarder.scratch()),
             |(pool, sim), trial| {
-                self.probe_trial(
-                    g, pattern, compiled, &nodes, &edges, pool, sim, max_hops, trial,
-                )
+                self.probe_trial(g, &forwarder, &nodes, &edges, pool, sim, max_hops, trial)
             },
         );
         match outcome.event {

@@ -33,20 +33,19 @@
 //!   *provably* identical on every reachable context (the differential
 //!   test-suite asserts this end to end).
 //! * [`CompiledSim`] — reusable scratch (failed-port masks, packed
-//!   visited-state bitset, path buffer) that routes and tours on compiled
-//!   tables with zero allocations in the steady state.
+//!   visited-state bitset) that routes and tours on compiled tables against
+//!   a materialized failure set, through the [`crate::walk`] kernels.
 //!
-//! The sweep engine ([`crate::sweep::SweepEngine`]) has twin entry points
-//! (`route_outcome_compiled`, `tour_covers_compiled`) that run these tables
-//! against its `u64` failure-mask overlays; the resilience checkers and
-//! generic adversaries compile their pattern up front and fall back to the
-//! trait-object interpreter only when compilation is refused (degree ≥ 64 or
-//! tabulation over budget).
+//! The sweep engine ([`crate::sweep::SweepEngine`]) runs the same kernels on
+//! these tables against its failure-mask overlays; [`crate::walk::Forwarder`]
+//! compiles a pattern up front and keeps the trait-object interpreter only
+//! when compilation is refused (degree ≥ 64 or tabulation over budget).
 
 use crate::failure::FailureSet;
 use crate::model::{LocalContext, RoutingModel};
 use crate::pattern::ForwardingPattern;
-use crate::simulator::{Outcome, RouteResult, TourResult};
+use crate::simulator::{RouteResult, TourResult};
+use crate::walk::{self, insert_bit, TableSource, WalkScratch};
 use frr_graph::{Graph, Node};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -1034,15 +1033,14 @@ where
 }
 
 /// Reusable scratch for simulating compiled patterns against materialized
-/// [`FailureSet`]s: per-node failed-port masks, the packed `(node, in-port)`
-/// visited-state bitset, and node bitsets for tour coverage.  All buffers are
-/// sized once per pattern shape and reused — zero allocations in the steady
-/// state (route/tour only allocate their reported path/visited collections).
-#[derive(Debug, Clone)]
+/// [`FailureSet`]s: per-node failed-port masks, the walk kernel's scratch,
+/// and a node bitset for tour coverage.  All buffers are sized once per
+/// pattern shape and reused — zero allocations in the steady state
+/// (route/tour only allocate their reported path/visited collections).
+#[derive(Debug, Clone, Default)]
 pub struct CompiledSim {
     failed_ports: Vec<u64>,
-    seen: Vec<u64>,
-    visited: Vec<u64>,
+    walk: WalkScratch,
     component: Vec<u64>,
     frontier: Vec<u32>,
 }
@@ -1051,12 +1049,10 @@ impl CompiledSim {
     /// Scratch sized for `cp`'s graph shape.
     pub fn new(cp: &CompiledPattern) -> Self {
         let n = cp.csr.n;
-        let node_words = n.div_ceil(WORD_BITS).max(1);
         CompiledSim {
             failed_ports: vec![0; n],
-            seen: vec![0; cp.csr.state_count().div_ceil(WORD_BITS).max(1)],
-            visited: vec![0; node_words],
-            component: vec![0; node_words],
+            walk: WalkScratch::new(&cp.csr),
+            component: vec![0; n.div_ceil(WORD_BITS).max(1)],
             frontier: Vec::with_capacity(n),
         }
     }
@@ -1077,15 +1073,6 @@ impl CompiledSim {
         }
     }
 
-    #[inline]
-    fn insert_state(&mut self, cp: &CompiledPattern, v: usize, inport_idx: u32) -> bool {
-        let i = (cp.csr.state_base(v) + inport_idx) as usize;
-        let (w, b) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
-        let fresh = self.seen[w] & b == 0;
-        self.seen[w] |= b;
-        fresh
-    }
-
     /// Routes one packet on the loaded failures; semantics (outcome, path,
     /// hop count) are identical to [`crate::simulator::route`] with the
     /// interpreted source pattern.
@@ -1097,55 +1084,19 @@ impl CompiledSim {
         max_hops: usize,
     ) -> RouteResult {
         let mut path = vec![source];
-        if source == destination {
-            return RouteResult {
-                outcome: Outcome::Delivered,
-                path,
-                hops: 0,
-            };
-        }
-        self.seen.fill(0);
-        let table = cp.table(source, destination);
-        let mut v = source.index();
-        let mut inport_idx = cp.csr.degree(v);
-        self.insert_state(cp, v, inport_idx);
-        let mut hops = 0usize;
-        loop {
-            if hops >= max_hops {
-                return RouteResult {
-                    outcome: Outcome::HopLimit,
-                    path,
-                    hops,
-                };
-            }
-            let port = match cp.decide(table, v, inport_idx, self.failed_ports[v]) {
-                Some(p) => p as usize,
-                None => {
-                    return RouteResult {
-                        outcome: Outcome::Stuck,
-                        path,
-                        hops,
-                    }
-                }
-            };
-            v = cp.csr.ports[port] as usize;
-            inport_idx = cp.csr.reverse_port[port];
-            hops += 1;
-            path.push(Node(v));
-            if v == destination.index() {
-                return RouteResult {
-                    outcome: Outcome::Delivered,
-                    path,
-                    hops,
-                };
-            }
-            if !self.insert_state(cp, v, inport_idx) {
-                return RouteResult {
-                    outcome: Outcome::Loop,
-                    path,
-                    hops,
-                };
-            }
+        let src = TableSource::new(cp, source, destination, &self.failed_ports, 1);
+        let (outcome, hops) = walk::route(
+            &src,
+            &mut self.walk,
+            source,
+            destination,
+            max_hops,
+            &mut path,
+        );
+        RouteResult {
+            outcome,
+            path,
+            hops,
         }
     }
 
@@ -1155,68 +1106,37 @@ impl CompiledSim {
         // Component of `start` in G \ F by BFS over alive ports.
         self.component.fill(0);
         self.frontier.clear();
-        let set = |words: &mut [u64], v: usize| {
-            let (w, b) = (v / WORD_BITS, 1u64 << (v % WORD_BITS));
-            let fresh = words[w] & b == 0;
-            words[w] |= b;
-            fresh
-        };
-        set(&mut self.component, start.index());
+        insert_bit(&mut self.component, start.index());
         self.frontier.push(start.index() as u32);
         let mut component_size = 1u32;
         while let Some(v) = self.frontier.pop() {
             let v = v as usize;
             let alive = self.failed_ports[v];
             for (p, &u) in cp.csr.ports_of(v).iter().enumerate() {
-                if alive & (1u64 << p) == 0 && set(&mut self.component, u as usize) {
+                if alive & (1u64 << p) == 0 && insert_bit(&mut self.component, u as usize) {
                     component_size += 1;
                     self.frontier.push(u);
                 }
             }
         }
 
-        self.seen.fill(0);
-        self.visited.fill(0);
-        set(&mut self.visited, start.index());
-        let mut remaining = component_size - 1;
         let mut path = vec![start];
-        let mut v = start.index();
-        let mut inport_idx = cp.csr.degree(v);
-        self.insert_state(cp, v, inport_idx);
-        let table = cp.table(start, start);
-        let mut returned_after_cover = false;
-        let mut hops = 0usize;
-        loop {
-            if hops >= max_hops {
-                break;
-            }
-            let port = match cp.decide(table, v, inport_idx, self.failed_ports[v]) {
-                Some(p) => p as usize,
-                None => break,
-            };
-            v = cp.csr.ports[port] as usize;
-            inport_idx = cp.csr.reverse_port[port];
-            hops += 1;
-            path.push(Node(v));
-            if set(&mut self.visited, v)
-                && self.component[v / WORD_BITS] & (1u64 << (v % WORD_BITS)) != 0
-            {
-                remaining -= 1;
-            }
-            if v == start.index() && remaining == 0 {
-                returned_after_cover = true;
-            }
-            if !self.insert_state(cp, v, inport_idx) {
-                break;
-            }
-        }
+        let src = TableSource::new(cp, start, start, &self.failed_ports, 1);
+        let (covered_component, returned_to_start) = walk::tour(
+            &src,
+            &mut self.walk,
+            component_size - 1,
+            start,
+            max_hops,
+            &mut path,
+        );
         let visited: BTreeSet<Node> = (0..cp.csr.n)
-            .filter(|&u| self.visited[u / WORD_BITS] & (1u64 << (u % WORD_BITS)) != 0)
+            .filter(|&u| self.walk.visited(u))
             .map(Node)
             .collect();
         TourResult {
-            covered_component: remaining == 0,
-            returned_to_start: returned_after_cover,
+            covered_component,
+            returned_to_start,
             visited,
             path,
         }
@@ -1227,7 +1147,7 @@ impl CompiledSim {
 mod tests {
     use super::*;
     use crate::pattern::{FnPattern, RotorPattern, ShortestPathPattern};
-    use crate::simulator::{route, state_space_bound, tour};
+    use crate::simulator::{route, state_space_bound, tour, Outcome};
     use frr_graph::generators;
 
     #[test]

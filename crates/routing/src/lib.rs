@@ -21,6 +21,9 @@
 //!   `(graph, destination)` into dense CSR-indexed rule tables
 //!   ([`compiled::CompiledPattern`]), the branch-free representation the
 //!   sweep hot paths consume,
+//! * [`walk`] — the one route kernel and the one tour kernel the fast
+//!   simulators share, and [`walk::Forwarder`], the single
+//!   compile-or-interpret decision for a pattern,
 //! * [`sweep`] — the allocation-free failure-sweep engine: bitmask failure
 //!   overlays on a [`frr_graph::BitGraph`], reusable scratch, and
 //!   deterministic multi-threaded mask-range sharding,
@@ -75,6 +78,7 @@ pub mod pattern;
 pub mod resilience;
 pub mod simulator;
 pub mod sweep;
+pub mod walk;
 
 /// Convenience prelude bringing the most frequently used items into scope.
 pub mod prelude {

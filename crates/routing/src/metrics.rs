@@ -5,9 +5,10 @@
 //! stretch relative to the shortest surviving path, and delivery ratios under
 //! random failure workloads.
 
-use crate::compiled::{CompilePattern, CompiledSim};
+use crate::compiled::CompilePattern;
 use crate::failure::{random_failure_set, FailureSet};
-use crate::simulator::{route, state_space_bound, Outcome};
+use crate::simulator::{state_space_bound, Outcome};
+use crate::walk::Forwarder;
 use frr_graph::connectivity::distance_filtered;
 use frr_graph::{Graph, Node};
 use rand::Rng;
@@ -88,8 +89,8 @@ pub fn evaluate_scenarios<P: CompilePattern + ?Sized>(
     scenarios: &[(FailureSet, Node, Node)],
 ) -> DeliveryStats {
     let max_hops = state_space_bound(g);
-    let compiled = pattern.compile(g);
-    let mut sim = compiled.as_ref().map(CompiledSim::new);
+    let forwarder = Forwarder::new(g, pattern);
+    let mut sim = forwarder.scratch();
     let mut stats = DeliveryStats::default();
     for (failures, s, t) in scenarios {
         if s == t {
@@ -99,13 +100,7 @@ pub fn evaluate_scenarios<P: CompilePattern + ?Sized>(
             Some(d) => d,
             None => continue,
         };
-        let result = match (&compiled, &mut sim) {
-            (Some(cp), Some(sim)) => {
-                sim.load_failures(cp, failures);
-                sim.route(cp, *s, *t, max_hops)
-            }
-            _ => route(g, failures, pattern, *s, *t, max_hops),
-        };
+        let result = forwarder.route_failures(g, failures, *s, *t, max_hops, &mut sim);
         stats.record(result.outcome, result.hops, optimal);
     }
     stats
@@ -127,8 +122,8 @@ pub fn evaluate_random_workload<P: CompilePattern + ?Sized, R: Rng>(
     if nodes.len() < 2 {
         return stats;
     }
-    let compiled = pattern.compile(g);
-    let mut sim = compiled.as_ref().map(CompiledSim::new);
+    let forwarder = Forwarder::new(g, pattern);
+    let mut sim = forwarder.scratch();
     for _ in 0..trials {
         let failures = random_failure_set(g, failures_per_trial, rng);
         let s = nodes[rng.gen_range(0..nodes.len())];
@@ -140,13 +135,7 @@ pub fn evaluate_random_workload<P: CompilePattern + ?Sized, R: Rng>(
             Some(d) => d,
             None => continue,
         };
-        let result = match (&compiled, &mut sim) {
-            (Some(cp), Some(sim)) => {
-                sim.load_failures(cp, &failures);
-                sim.route(cp, s, t, max_hops)
-            }
-            _ => route(g, &failures, pattern, s, t, max_hops),
-        };
+        let result = forwarder.route_failures(g, &failures, s, t, max_hops, &mut sim);
         stats.record(result.outcome, result.hops, optimal);
     }
     stats

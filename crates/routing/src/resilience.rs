@@ -18,13 +18,14 @@
 
 use crate::adversary::Counterexample;
 use crate::budget::{Progress, RunBudget, StopCause, Verdict, WorkerPanicked};
-use crate::compiled::{CompilePattern, CompiledPattern, CompiledSim};
+use crate::compiled::CompilePattern;
 use crate::failure::{random_failure_set, FailureSet};
 use crate::pattern::ForwardingPattern;
 use crate::simulator::{route, state_space_bound, tour, Outcome};
 use crate::sweep::{
     failure_set_at, sweep_find_first, sweep_find_first_budgeted, SweepEnd, SweepEngine, SweepReport,
 };
+use crate::walk::Forwarder;
 use frr_graph::budget::StopSignal;
 use frr_graph::connectivity::st_edge_connectivity_filtered;
 use frr_graph::{Graph, Node};
@@ -124,21 +125,6 @@ fn replay_tour<P: ForwardingPattern + ?Sized>(
     }
 }
 
-/// Compiles `pattern` for the budgeted sweeps, treating a *panicking*
-/// `compile` the same as a refusing one: the sweep keeps the interpreted
-/// trait-object path (outcomes are identical either way), and if the pattern
-/// also misbehaves at forwarding time the per-probe isolation reports it as
-/// a typed [`WorkerPanicked`] at the offending mask instead of a
-/// compile-time abort.
-pub(crate) fn compile_guarded<P: CompilePattern + ?Sized>(
-    g: &Graph,
-    pattern: &P,
-) -> Option<CompiledPattern> {
-    catch_unwind(AssertUnwindSafe(|| pattern.compile(g)))
-        .ok()
-        .flatten()
-}
-
 /// Shared sweep for the routing checkers: every failure mask (optionally
 /// popcount-capped), every still-connected `(s, t)` pair (optionally with a
 /// pinned destination), earliest event in the canonical
@@ -159,11 +145,7 @@ fn sweep_routing_budgeted<P: CompilePattern + ?Sized>(
         None => (0, n),
     };
     // Compile once per sweep; the tables are shared by every worker thread.
-    // `None` (degree or tabulation budget exceeded, or a panicking compile)
-    // keeps the interpreted trait-object path — outcomes are identical
-    // either way.
-    let compiled = compile_guarded(g, pattern);
-    let compiled = compiled.as_ref();
+    let forwarder = Forwarder::new(g, pattern);
     sweep_find_first_budgeted(
         g,
         max_failures,
@@ -175,11 +157,7 @@ fn sweep_routing_budgeted<P: CompilePattern + ?Sized>(
                     if s == t || !engine.same_component(s, t) {
                         continue;
                     }
-                    let outcome = match compiled {
-                        Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-                        None => engine.route_outcome(pattern, s, t, max_hops),
-                    };
-                    if !outcome.is_delivered() {
+                    if !engine.route(&forwarder, s, t, max_hops).is_delivered() {
                         return Some(replay_route(g, pattern, engine.current_failure_set(), s, t));
                     }
                 }
@@ -320,8 +298,7 @@ pub fn check_r_tolerance<P: CompilePattern + ?Sized>(
 ) -> Result<Result<(), Counterexample>, EdgeLimitExceeded> {
     check_edge_limit(g, EXHAUSTIVE_EDGE_LIMIT)?;
     let max_hops = state_space_bound(g);
-    let compiled = pattern.compile(g);
-    let compiled = compiled.as_ref();
+    let forwarder = Forwarder::new(g, pattern);
     let found = sweep_find_first(g, None, |engine: &mut SweepEngine<'_>| {
         // The r-connectivity promise on the overlay, without cloning G \ F.
         let promise = r == 0
@@ -330,11 +307,7 @@ pub fn check_r_tolerance<P: CompilePattern + ?Sized>(
         if !promise {
             return None;
         }
-        let outcome = match compiled {
-            Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-            None => engine.route_outcome(pattern, s, t, max_hops),
-        };
-        if !outcome.is_delivered() {
+        if !engine.route(&forwarder, s, t, max_hops).is_delivered() {
             return Some(replay_route(g, pattern, engine.current_failure_set(), s, t));
         }
         None
@@ -403,21 +376,15 @@ pub fn is_r_tolerant_sampled<P: CompilePattern + ?Sized, R: Rng>(
     rng: &mut R,
 ) -> Result<(), Counterexample> {
     let max_hops = state_space_bound(g);
-    let compiled = pattern.compile(g);
-    let mut sim = compiled.as_ref().map(CompiledSim::new);
+    let forwarder = Forwarder::new(g, pattern);
+    let mut sim = forwarder.scratch();
     for k in 0..=budget.max_failures {
         for _ in 0..budget.trials {
             let failures = random_failure_set(g, k, rng);
             if !failures.keeps_r_connected(g, s, t, r) {
                 continue;
             }
-            let result = match (&compiled, &mut sim) {
-                (Some(cp), Some(sim)) => {
-                    sim.load_failures(cp, &failures);
-                    sim.route(cp, s, t, max_hops)
-                }
-                _ => route(g, &failures, pattern, s, t, max_hops),
-            };
+            let result = forwarder.route_failures(g, &failures, s, t, max_hops, &mut sim);
             if !result.outcome.is_delivered() {
                 return Err(Counterexample {
                     failures,
@@ -441,8 +408,7 @@ fn sweep_touring_budgeted<P: CompilePattern + ?Sized>(
     stop: &StopSignal,
 ) -> SweepReport<Counterexample> {
     let max_hops = state_space_bound(g);
-    let compiled = compile_guarded(g, pattern);
-    let compiled = compiled.as_ref();
+    let forwarder = Forwarder::new(g, pattern);
     sweep_find_first_budgeted(
         g,
         max_failures,
@@ -450,11 +416,7 @@ fn sweep_touring_budgeted<P: CompilePattern + ?Sized>(
         stop,
         |engine: &mut SweepEngine<'_>| {
             for start in g.nodes() {
-                let covered = match compiled {
-                    Some(cp) => engine.tour_covers_compiled(cp, start, max_hops),
-                    None => engine.tour_covers(pattern, start, max_hops),
-                };
-                if !covered {
+                if !engine.tour_covers(&forwarder, start, max_hops) {
                     return Some(replay_tour(g, pattern, engine.current_failure_set(), start));
                 }
             }
@@ -556,8 +518,8 @@ pub fn sampled_resilience_violation<P: CompilePattern + ?Sized, R: Rng>(
     if nodes.len() < 2 {
         return None;
     }
-    let compiled = pattern.compile(g);
-    let mut sim = compiled.as_ref().map(CompiledSim::new);
+    let forwarder = Forwarder::new(g, pattern);
+    let mut sim = forwarder.scratch();
     for _ in 0..trials {
         let k = rng.gen_range(0..=max_failures.min(g.edge_count()));
         let failures = random_failure_set(g, k, rng);
@@ -566,13 +528,7 @@ pub fn sampled_resilience_violation<P: CompilePattern + ?Sized, R: Rng>(
         if s == t || !failures.keeps_connected(g, s, t) {
             continue;
         }
-        let result = match (&compiled, &mut sim) {
-            (Some(cp), Some(sim)) => {
-                sim.load_failures(cp, &failures);
-                sim.route(cp, s, t, max_hops)
-            }
-            _ => route(g, &failures, pattern, s, t, max_hops),
-        };
+        let result = forwarder.route_failures(g, &failures, s, t, max_hops, &mut sim);
         if !result.outcome.is_delivered() {
             return Some(Counterexample {
                 failures,
@@ -926,8 +882,7 @@ pub fn is_r_tolerant_with_budget<P: CompilePattern + ?Sized>(
         return tolerance_fallback(0, 0, StopCause::EdgeLimit);
     }
     let max_hops = state_space_bound(g);
-    let compiled = compile_guarded(g, pattern);
-    let compiled = compiled.as_ref();
+    let forwarder = Forwarder::new(g, pattern);
     let report = sweep_find_first_budgeted(
         g,
         None,
@@ -940,11 +895,7 @@ pub fn is_r_tolerant_with_budget<P: CompilePattern + ?Sized>(
             if !promise {
                 return None;
             }
-            let outcome = match compiled {
-                Some(cp) => engine.route_outcome_compiled(cp, s, t, max_hops),
-                None => engine.route_outcome(pattern, s, t, max_hops),
-            };
-            if !outcome.is_delivered() {
+            if !engine.route(&forwarder, s, t, max_hops).is_delivered() {
                 return Some(replay_route(g, pattern, engine.current_failure_set(), s, t));
             }
             None

@@ -23,10 +23,11 @@
 //!   relabel on revival (only if the endpoints were in different components).
 //!   Driving consecutive Gray-code masks through `toggle_edge` replaces the
 //!   per-mask overlay rebuild with one or two edge patches.
-//! * [`SweepEngine::route_outcome`] / [`SweepEngine::tour_covers`] run the
-//!   exact simulator semantics (same `(node, in-port)` state space, same
-//!   fault rules) against the overlay, tracking seen states in a packed
-//!   bitset instead of a `HashSet`.
+//! * [`SweepEngine::route`] / [`SweepEngine::tour_covers`] run a
+//!   [`Forwarder`] — compiled tables or the interpreted pattern — through
+//!   the [`crate::walk`] kernels against the overlay, with the exact
+//!   simulator semantics (same `(node, in-port)` state space, same fault
+//!   rules).
 //! * [`sweep_find_first`] drives a whole sweep over the canonical
 //!   **Gray-code enumeration order** of [`GrayMasks`] (weight-ordered:
 //!   smaller failure sets first), sharding the enumeration positions across
@@ -47,12 +48,12 @@
 //! the `W = 1` path stays as tight as the historical single-`u64` code.
 
 use crate::budget::StopCause;
-use crate::compiled::CompiledPattern;
+use crate::compiled::PortGraph;
 use crate::failure::{capped_mask_count, FailureSet, GrayMasks};
 use crate::mask::{mask_words, IntoMaskRef, MaskBuf, MaskRef};
-use crate::model::LocalContext;
 use crate::pattern::ForwardingPattern;
 use crate::simulator::Outcome;
+use crate::walk::{self, Forwarder, InterpretedSource, TableSource, WalkScratch};
 use frr_graph::bitgraph::{BitGraph, BitIter};
 use frr_graph::budget::StopSignal;
 use frr_graph::{Edge, Graph, Node};
@@ -121,6 +122,8 @@ fn mask_fresh_and_mark(next: &mut [u64], visited: &mut [u64]) -> u32 {
 pub struct SweepEngine<'g> {
     graph: &'g Graph,
     bits: BitGraph,
+    /// CSR port view: the state ids of the walk kernels.
+    csr: PortGraph,
     edges: Vec<Edge>,
     n: usize,
     /// Words per adjacency row (shared with `bits`).
@@ -140,7 +143,7 @@ pub struct SweepEngine<'g> {
     failed_adj: Vec<u64>,
     /// Per-node failed-**port** rows, `port_words` words each (bit `p` ⇒ the
     /// node's `p`-th incident link failed) — word 0 is the aliveness word
-    /// the compiled hot loops consume (compilation refuses degree ≥ 64).
+    /// the compiled tables consume (compilation refuses degree ≥ 64).
     failed_ports: Vec<u64>,
     /// Per-node failed neighbors, sorted ascending (the `LocalContext` view).
     failed_list: Vec<Vec<Node>>,
@@ -157,12 +160,9 @@ pub struct SweepEngine<'g> {
     /// Retired component ids, reused by splits.
     free_comp: Vec<u32>,
     // ---- per-simulation scratch ----
-    /// Packed bitset over the `n · (n + 1)` distinct `(node, in-port)` states.
-    seen_states: Vec<u64>,
-    /// Packed bitset over the `2m + n` compiled `(node, in-port-index)`
-    /// states (the CSR state-id scheme of [`crate::compiled`]).
-    seen_compiled: Vec<u64>,
-    /// Packed node bitsets for component BFS / tour coverage.
+    /// The walk kernels' scratch.
+    walk: WalkScratch,
+    /// Packed node bitsets for the component BFS.
     visit_a: Vec<u64>,
     visit_b: Vec<u64>,
     visit_c: Vec<u64>,
@@ -194,9 +194,9 @@ pub struct SweepStats {
     pub bridges_found: u64,
     /// Edge revivals that merged two components.
     pub component_merges: u64,
-    /// Routing simulations (`route_outcome` + `route_outcome_compiled`).
+    /// Routing simulations ([`SweepEngine::route`]).
     pub routes: u64,
-    /// Touring simulations (`tour_covers` + `tour_covers_compiled`).
+    /// Touring simulations ([`SweepEngine::tour_covers`]).
     pub tours: u64,
 }
 
@@ -237,10 +237,8 @@ impl<'g> SweepEngine<'g> {
         let words = bits.words_per_row();
         let max_degree = (0..n).map(|v| g.neighbors(Node(v)).count()).max();
         let port_words = max_degree.unwrap_or(0).div_ceil(WORD_BITS).max(1);
-        let state_words = (n * (n + 1)).div_ceil(WORD_BITS).max(1);
-        let compiled_state_words = (2 * edges.len() + n).div_ceil(WORD_BITS).max(1);
-        let rank =
-            |v: Node, u: Node| g.neighbors(v).position(|x| x == u).expect("incident edge") as u32;
+        let csr = PortGraph::new(g);
+        let rank = |v: Node, u: Node| csr.port_of(v.index(), u.index()).expect("incident edge");
         let edge_local = edges
             .iter()
             .map(|e| (rank(e.u(), e.v()), rank(e.v(), e.u())))
@@ -260,13 +258,13 @@ impl<'g> SweepEngine<'g> {
             comp_id: vec![0; n],
             comp_size: Vec::with_capacity(n),
             free_comp: Vec::new(),
-            seen_states: vec![0; state_words],
-            seen_compiled: vec![0; compiled_state_words],
+            walk: WalkScratch::new(&csr),
             visit_a: vec![0; words],
             visit_b: vec![0; words],
             visit_c: vec![0; words],
             stats: SweepStats::default(),
             bits,
+            csr,
             edges,
         }
     }
@@ -554,68 +552,39 @@ impl<'g> SweepEngine<'g> {
         self.free_comp.push(dead);
     }
 
-    #[inline]
-    fn state_index(&self, node: Node, inport: Option<Node>) -> usize {
-        node.index() * (self.n + 1) + inport.map_or(0, |u| u.index() + 1)
-    }
-
-    /// Inserts a `(node, in-port)` state; `true` if it was new.
-    #[inline]
-    fn insert_state(&mut self, node: Node, inport: Option<Node>) -> bool {
-        let i = self.state_index(node, inport);
-        let (w, b) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
-        let fresh = self.seen_states[w] & b == 0;
-        self.seen_states[w] |= b;
-        fresh
-    }
-
     /// Routes one packet under the loaded overlay and returns only the
     /// [`Outcome`] — no path vector, no per-hop allocation.  Semantics are
     /// identical to [`crate::simulator::route`] on the materialized failure
-    /// set (asserted by the differential test-suite).
-    pub fn route_outcome<P: ForwardingPattern + ?Sized>(
+    /// set (asserted by the differential test-suite).  A compiled forwarder
+    /// must be compiled for this engine's graph.
+    pub fn route<P: ForwardingPattern + ?Sized>(
         &mut self,
-        pattern: &P,
+        forwarder: &Forwarder<'_, P>,
         source: Node,
         destination: Node,
         max_hops: usize,
     ) -> Outcome {
         self.stats.routes += 1;
-        if source == destination {
-            return Outcome::Delivered;
-        }
-        self.seen_states.fill(0);
-        let mut current = source;
-        let mut inport: Option<Node> = None;
-        self.insert_state(current, inport);
-        let mut hops = 0usize;
-        loop {
-            if hops >= max_hops {
-                return Outcome::HopLimit;
+        let scratch = &mut self.walk;
+        match *forwarder {
+            Forwarder::Compiled(ref cp) => {
+                debug_assert!(cp.matches_shape(self.n, self.edges.len()));
+                let src =
+                    TableSource::new(cp, source, destination, &self.failed_ports, self.port_words);
+                walk::route(&src, scratch, source, destination, max_hops, &mut ()).0
             }
-            let ctx = LocalContext {
-                node: current,
-                inport,
-                source,
-                destination,
-                failed_neighbors: &self.failed_list[current.index()],
-                graph: self.graph,
-            };
-            let next = match pattern.next_hop(&ctx) {
-                Some(n) => n,
-                None => return Outcome::Stuck,
-            };
-            if !self.bits.has_edge(current, next) || self.link_failed(current, next) {
-                return Outcome::Stuck;
-            }
-            inport = Some(current);
-            current = next;
-            hops += 1;
-            if current == destination {
-                return Outcome::Delivered;
-            }
-            if !self.insert_state(current, inport) {
-                return Outcome::Loop;
+            Forwarder::Interpreted(pattern) => {
+                let src = InterpretedSource {
+                    pattern,
+                    graph: self.graph,
+                    csr: &self.csr,
+                    failed_list: &self.failed_list,
+                    failed_ports: &self.failed_ports,
+                    port_words: self.port_words,
+                    source,
+                    destination,
+                };
+                walk::route(&src, scratch, source, destination, max_hops, &mut ()).0
             }
         }
     }
@@ -625,177 +594,35 @@ impl<'g> SweepEngine<'g> {
     /// (the `covered_component` field of [`crate::simulator::tour`]).
     pub fn tour_covers<P: ForwardingPattern + ?Sized>(
         &mut self,
-        pattern: &P,
+        forwarder: &Forwarder<'_, P>,
         start: Node,
         max_hops: usize,
     ) -> bool {
         self.stats.tours += 1;
-        // Track how many component members remain unvisited; visit_a doubles
-        // as the visited-node bitset.
-        let mut remaining = self.component_size(start) - 1;
-        if remaining == 0 {
-            return true;
-        }
-        self.seen_states.fill(0);
-        self.visit_a.fill(0);
-        self.visit_a[start.index() / WORD_BITS] |= 1u64 << (start.index() % WORD_BITS);
-        let mut current = start;
-        let mut inport: Option<Node> = None;
-        self.insert_state(current, inport);
-        let mut hops = 0usize;
-        loop {
-            if hops >= max_hops {
-                return false;
+        let remaining = self.component_size(start) - 1;
+        let scratch = &mut self.walk;
+        match *forwarder {
+            Forwarder::Compiled(ref cp) => {
+                debug_assert!(cp.matches_shape(self.n, self.edges.len()));
+                let src = TableSource::new(cp, start, start, &self.failed_ports, self.port_words);
+                walk::tour(&src, scratch, remaining, start, max_hops, &mut ())
             }
-            let ctx = LocalContext {
-                node: current,
-                inport,
-                // The touring model has no header; see `simulator::tour`.
-                source: start,
-                destination: start,
-                failed_neighbors: &self.failed_list[current.index()],
-                graph: self.graph,
-            };
-            let next = match pattern.next_hop(&ctx) {
-                Some(n) => n,
-                None => return false,
-            };
-            if !self.bits.has_edge(current, next) || self.link_failed(current, next) {
-                return false;
-            }
-            inport = Some(current);
-            current = next;
-            hops += 1;
-            let (w, b) = (
-                current.index() / WORD_BITS,
-                1u64 << (current.index() % WORD_BITS),
-            );
-            if self.visit_a[w] & b == 0 {
-                self.visit_a[w] |= b;
-                if self.same_component(current, start) {
-                    remaining -= 1;
-                    if remaining == 0 {
-                        return true;
-                    }
-                }
-            }
-            if !self.insert_state(current, inport) {
-                return false;
+            Forwarder::Interpreted(pattern) => {
+                let src = InterpretedSource {
+                    pattern,
+                    graph: self.graph,
+                    csr: &self.csr,
+                    failed_list: &self.failed_list,
+                    failed_ports: &self.failed_ports,
+                    port_words: self.port_words,
+                    // The touring model has no header; see `simulator::tour`.
+                    source: start,
+                    destination: start,
+                };
+                walk::tour(&src, scratch, remaining, start, max_hops, &mut ())
             }
         }
-    }
-
-    /// Inserts a compiled `(node, in-port-index)` state; `true` if new.
-    #[inline]
-    fn insert_compiled_state(&mut self, cp: &CompiledPattern, v: usize, inport_idx: u32) -> bool {
-        let i = (cp.csr().state_base(v) + inport_idx) as usize;
-        let (w, b) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
-        let fresh = self.seen_compiled[w] & b == 0;
-        self.seen_compiled[w] |= b;
-        fresh
-    }
-
-    /// The single failed-port word of node `v` the compiled tables test.
-    /// Compilation refuses nodes of degree ≥ 64, so word 0 of the node's
-    /// failed-port row is the complete picture on every compiled path.
-    #[inline]
-    fn failed_port_word(&self, v: usize) -> u64 {
-        self.failed_ports[v * self.port_words]
-    }
-
-    /// [`SweepEngine::route_outcome`] on compiled rule tables: the hot loop
-    /// is a state-id lookup, a first-alive scan against the node's failed-
-    /// port mask and two array reads per hop — no dynamic dispatch, no
-    /// neighbor re-derivation, no allocation.  Byte-identical outcomes to the
-    /// interpreted path (the compiled tables replicate `next_hop` exactly).
-    ///
-    /// `cp` must be compiled for this engine's graph.
-    pub fn route_outcome_compiled(
-        &mut self,
-        cp: &CompiledPattern,
-        source: Node,
-        destination: Node,
-        max_hops: usize,
-    ) -> Outcome {
-        self.stats.routes += 1;
-        debug_assert!(cp.matches_shape(self.n, self.edges.len()));
-        if source == destination {
-            return Outcome::Delivered;
-        }
-        self.seen_compiled.fill(0);
-        let csr = cp.csr();
-        let table = cp.table(source, destination);
-        let mut v = source.index();
-        let mut inport_idx = csr.degree(v);
-        self.insert_compiled_state(cp, v, inport_idx);
-        let mut hops = 0usize;
-        loop {
-            if hops >= max_hops {
-                return Outcome::HopLimit;
-            }
-            let port = match cp.decide(table, v, inport_idx, self.failed_port_word(v)) {
-                Some(p) => p as usize,
-                None => return Outcome::Stuck,
-            };
-            v = csr.port_target(port);
-            inport_idx = csr.reverse_port(port);
-            hops += 1;
-            if v == destination.index() {
-                return Outcome::Delivered;
-            }
-            if !self.insert_compiled_state(cp, v, inport_idx) {
-                return Outcome::Loop;
-            }
-        }
-    }
-
-    /// [`SweepEngine::tour_covers`] on compiled rule tables.
-    pub fn tour_covers_compiled(
-        &mut self,
-        cp: &CompiledPattern,
-        start: Node,
-        max_hops: usize,
-    ) -> bool {
-        self.stats.tours += 1;
-        debug_assert!(cp.matches_shape(self.n, self.edges.len()));
-        let mut remaining = self.component_size(start) - 1;
-        if remaining == 0 {
-            return true;
-        }
-        self.seen_compiled.fill(0);
-        self.visit_a.fill(0);
-        self.visit_a[start.index() / WORD_BITS] |= 1u64 << (start.index() % WORD_BITS);
-        let csr = cp.csr();
-        let table = cp.table(start, start);
-        let mut v = start.index();
-        let mut inport_idx = csr.degree(v);
-        self.insert_compiled_state(cp, v, inport_idx);
-        let mut hops = 0usize;
-        loop {
-            if hops >= max_hops {
-                return false;
-            }
-            let port = match cp.decide(table, v, inport_idx, self.failed_port_word(v)) {
-                Some(p) => p as usize,
-                None => return false,
-            };
-            v = csr.port_target(port);
-            inport_idx = csr.reverse_port(port);
-            hops += 1;
-            let (w, b) = (v / WORD_BITS, 1u64 << (v % WORD_BITS));
-            if self.visit_a[w] & b == 0 {
-                self.visit_a[w] |= b;
-                if self.same_component(Node(v), start) {
-                    remaining -= 1;
-                    if remaining == 0 {
-                        return true;
-                    }
-                }
-            }
-            if !self.insert_compiled_state(cp, v, inport_idx) {
-                return false;
-            }
-        }
+        .0
     }
 }
 
@@ -1443,20 +1270,20 @@ mod tests {
             for s in g.nodes() {
                 for t in g.nodes() {
                     assert_eq!(
-                        inc.route_outcome(&p, s, t, max_hops),
-                        loaded.route_outcome(&p, s, t, max_hops)
+                        inc.route(&Forwarder::Interpreted(&p), s, t, max_hops),
+                        loaded.route(&Forwarder::Interpreted(&p), s, t, max_hops)
                     );
                 }
                 assert_eq!(
-                    inc.tour_covers(&rotor, s, max_hops),
-                    loaded.tour_covers(&rotor, s, max_hops)
+                    inc.tour_covers(&Forwarder::Interpreted(&rotor), s, max_hops),
+                    loaded.tour_covers(&Forwarder::Interpreted(&rotor), s, max_hops)
                 );
             }
         }
     }
 
     #[test]
-    fn route_outcome_agrees_with_simulator() {
+    fn route_agrees_with_simulator() {
         let g = generators::complete(4);
         let p = ShortestPathPattern::new(&g);
         let max_hops = state_space_bound(&g);
@@ -1468,7 +1295,7 @@ mod tests {
                 for t in g.nodes() {
                     let expected = route(&g, &failures, &p, s, t, max_hops).outcome;
                     assert_eq!(
-                        engine.route_outcome(&p, s, t, max_hops),
+                        engine.route(&Forwarder::Interpreted(&p), s, t, max_hops),
                         expected,
                         "mask {mask:#b}, {s}->{t}"
                     );
@@ -1489,7 +1316,7 @@ mod tests {
             for start in g.nodes() {
                 let expected = tour(&g, &failures, &p, start, max_hops).covered_component;
                 assert_eq!(
-                    engine.tour_covers(&p, start, max_hops),
+                    engine.tour_covers(&Forwarder::Interpreted(&p), start, max_hops),
                     expected,
                     "mask {mask:#b}, start {start}"
                 );
@@ -1573,7 +1400,8 @@ mod tests {
         let max_hops = state_space_bound(&g);
         let miss: Option<()> = sweep_find_first(&g, Some(1), |engine| {
             let start = Node(0);
-            (!engine.tour_covers(&p, start, max_hops) && engine.component_size(start) > 1)
+            (!engine.tour_covers(&Forwarder::Interpreted(&p), start, max_hops)
+                && engine.component_size(start) > 1)
                 .then_some(())
         });
         assert_eq!(miss, None, "one ring failure never strands the tour");
@@ -1596,9 +1424,9 @@ mod tests {
         engine.load_mask(&0u64);
         assert_eq!(engine.component_size(Node(0)), 1);
         let p = RotorPattern::clockwise(&g);
-        assert!(engine.tour_covers(&p, Node(0), 10));
+        assert!(engine.tour_covers(&Forwarder::Interpreted(&p), Node(0), 10));
         assert_eq!(
-            engine.route_outcome(&p, Node(0), Node(0), 10),
+            engine.route(&Forwarder::Interpreted(&p), Node(0), Node(0), 10),
             Outcome::Delivered
         );
         // A routed packet with no ports is stuck, matching the simulator.
@@ -1607,7 +1435,7 @@ mod tests {
         let mut engine2 = SweepEngine::new(&g2);
         engine2.load_mask(&0u64);
         assert_eq!(
-            engine2.route_outcome(&p2, Node(0), Node(1), 10),
+            engine2.route(&Forwarder::Interpreted(&p2), Node(0), Node(1), 10),
             route(&g2, &FailureSet::new(), &p2, Node(0), Node(1), 10).outcome
         );
     }

@@ -12,7 +12,8 @@ use frr_graph::{generators, Node};
 use frr_routing::adversary::{Adversary, BruteForceAdversary, RandomAdversary};
 use frr_routing::budget::{CancelToken, RunBudget, StopCause, Verdict};
 use frr_routing::hostile::{
-    FailedLinkForwarder, NoCompile, NonNeighborForwarder, NondeterministicPattern, PanicPattern,
+    FailedLinkForwarder, NoCompile, NonNeighborForwarder, NondeterministicPattern, PanicOnCompile,
+    PanicPattern,
 };
 use frr_routing::pattern::RotorPattern;
 use frr_routing::resilience::{
@@ -117,6 +118,32 @@ fn panicking_pattern_yields_typed_worker_panicked_with_the_mask() {
     let shown = format!("{err}");
     assert!(shown.contains("position"), "got: {shown}");
     assert!(shown.contains("examining F ="), "got: {shown}");
+}
+
+#[test]
+fn panicking_compile_falls_back_to_interpretation_on_every_path() {
+    // A `compile` that panics must be treated like a refusal everywhere,
+    // including the sampling fallback oversize graphs take: the swept sizes
+    // (cycle(8), cycle(40)) and the sampled ones (cycle(24) past the
+    // exhaustive limit, cycle(130) past the bounded one) all return a
+    // verdict, never a WorkerPanicked.
+    for n in [8, 24] {
+        let verdict = is_perfectly_resilient_with_budget(
+            &generators::cycle(n),
+            &PanicOnCompile,
+            &RunBudget::unlimited(),
+        );
+        assert!(verdict.is_ok(), "cycle({n}): {verdict:?}");
+    }
+    for n in [40, 130] {
+        let verdict = check_bounded_r_resilience_with_budget(
+            &generators::cycle(n),
+            &PanicOnCompile,
+            1,
+            &RunBudget::unlimited(),
+        );
+        assert!(verdict.is_ok(), "cycle({n}): {verdict:?}");
+    }
 }
 
 #[test]

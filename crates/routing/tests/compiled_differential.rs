@@ -4,7 +4,8 @@
 //! pattern shape, including deliberately broken ones (non-neighbor forwards,
 //! failed-link forwards, non-priority-list decision functions), across seeded
 //! random graphs × failure masks, through every consumer layer (the generic
-//! tabulator, `CompiledSim`, the sweep engine's compiled loops, and the
+//! tabulator, `CompiledSim`, the sweep engine's walk kernel on compiled
+//! tables, and the
 //! checkers/adversaries that compile internally).
 
 use frr_graph::{generators, Graph, Node};
@@ -15,6 +16,7 @@ use frr_routing::model::RoutingModel;
 use frr_routing::pattern::{FnPattern, ForwardingPattern, RotorPattern, ShortestPathPattern};
 use frr_routing::simulator::{route, state_space_bound, tour};
 use frr_routing::sweep::SweepEngine;
+use frr_routing::walk::Forwarder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -90,6 +92,8 @@ fn compiled_routing_matches_interpreter_on_random_graphs() {
                 .compile(&g)
                 .expect("small graphs compile within budget");
             let mut sim = CompiledSim::new(&cp);
+            let compiled = Forwarder::new(&g, &cp);
+            assert!(matches!(compiled, Forwarder::Compiled(_)));
             for mask in sample_masks(&g, &mut rng) {
                 engine.load_mask(&mask);
                 let failures = failure_set_from_mask(engine.edges(), &mask);
@@ -108,7 +112,7 @@ fn compiled_routing_matches_interpreter_on_random_graphs() {
                         // ...and outcome equality on the sweep engine's
                         // compiled hot loop.
                         assert_eq!(
-                            engine.route_outcome_compiled(&cp, s, t, max_hops),
+                            engine.route(&compiled, s, t, max_hops),
                             reference.outcome,
                             "graph {g:?}, mask {mask:#b}, {s}->{t}, {}",
                             pattern.name()
@@ -144,6 +148,7 @@ fn compiled_touring_matches_interpreter_on_random_graphs() {
         for pattern in patterns {
             let cp = pattern.compile(&g).expect("compiles");
             let mut sim = CompiledSim::new(&cp);
+            let compiled = Forwarder::new(&g, &cp);
             for mask in sample_masks(&g, &mut rng) {
                 engine.load_mask(&mask);
                 let failures = failure_set_from_mask(engine.edges(), &mask);
@@ -159,7 +164,7 @@ fn compiled_touring_matches_interpreter_on_random_graphs() {
                         pattern.name()
                     );
                     assert_eq!(
-                        engine.tour_covers_compiled(&cp, start, max_hops),
+                        engine.tour_covers(&compiled, start, max_hops),
                         reference.covered_component,
                     );
                 }

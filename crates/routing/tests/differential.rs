@@ -6,9 +6,12 @@
 use frr_graph::connectivity::same_component;
 use frr_graph::{generators, Graph, Node};
 use frr_routing::failure::{failure_set_from_mask, FailureMasks, FailureSet};
-use frr_routing::pattern::{ForwardingPattern, RotorPattern, ShortestPathPattern};
+use frr_routing::hostile::{FailedLinkForwarder, NonNeighborForwarder};
+use frr_routing::model::RoutingModel;
+use frr_routing::pattern::{FnPattern, ForwardingPattern, RotorPattern, ShortestPathPattern};
 use frr_routing::simulator::{route, state_space_bound, tour};
 use frr_routing::sweep::SweepEngine;
+use frr_routing::walk::Forwarder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,6 +47,18 @@ fn mask_overlay_routing_matches_clone_based_routing() {
         let patterns: Vec<Box<dyn ForwardingPattern>> = vec![
             Box::new(ShortestPathPattern::new(&g)),
             Box::new(RotorPattern::clockwise_with_shortcut(&g)),
+            Box::new(FailedLinkForwarder),
+            Box::new(NonNeighborForwarder),
+            // A non-node whose index truncated to 32 bits is a real
+            // neighbor: the overlay must drop it, not alias it.
+            Box::new(FnPattern::new(
+                RoutingModel::DestinationOnly,
+                "alias-past-u32",
+                |ctx: &frr_routing::model::LocalContext<'_>| {
+                    let u = ctx.alive_neighbors().first()?.index();
+                    Some(Node(u + (1 << 32)))
+                },
+            )),
         ];
         let max_hops = state_space_bound(&g);
         let mut engine = SweepEngine::new(&g);
@@ -56,7 +71,7 @@ fn mask_overlay_routing_matches_clone_based_routing() {
                         let reference = route(&g, &failures, pattern.as_ref(), s, t, max_hops);
                         // Identical outcome from the overlay...
                         assert_eq!(
-                            engine.route_outcome(pattern.as_ref(), s, t, max_hops),
+                            engine.route(&Forwarder::Interpreted(pattern.as_ref()), s, t, max_hops),
                             reference.outcome,
                             "graph {g:?}, mask {mask:#b}, {s}->{t}, {}",
                             pattern.name()
@@ -111,7 +126,7 @@ fn mask_overlay_touring_matches_clone_based_touring() {
             let failures = failure_set_from_mask(engine.edges(), &mask);
             for start in g.nodes() {
                 assert_eq!(
-                    engine.tour_covers(&p, start, max_hops),
+                    engine.tour_covers(&Forwarder::Interpreted(&p), start, max_hops),
                     tour(&g, &failures, &p, start, max_hops).covered_component,
                     "graph {g:?}, mask {mask:#b}, start {start}"
                 );

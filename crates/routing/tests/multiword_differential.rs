@@ -3,15 +3,17 @@
 //! against the ascending enumerator, and incremental toggles against full
 //! reloads — including graphs beyond the historical 64-link wall.
 
-use frr_graph::{generators, Graph};
+use frr_graph::{generators, Graph, Node};
 use frr_routing::failure::{FailureMasks, GrayFailureSets, GrayMasks};
+use frr_routing::mask::MaskBuf;
 use frr_routing::pattern::{RotorPattern, ShortestPathPattern};
 use frr_routing::resilience::{
     check_bounded_r_resilience, check_bounded_touring_resilience, is_k_resilient_touring,
     EdgeLimitExceeded, BOUNDED_EDGE_LIMIT,
 };
-use frr_routing::simulator::{state_space_bound, tour};
+use frr_routing::simulator::{route, state_space_bound, tour};
 use frr_routing::sweep::SweepEngine;
+use frr_routing::walk::Forwarder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,11 +32,12 @@ fn single_word_graphs() -> Vec<Graph> {
     graphs
 }
 
-/// Graphs past the 64-link wall (two mask words).
+/// Graphs past the 64-link wall (two or three mask words).
 fn multi_word_graphs() -> Vec<Graph> {
     vec![
         generators::hypercube(5), // 80 links
         generators::random_connected(40, 30, &mut StdRng::seed_from_u64(0xBEEF)), // 69 links
+        generators::wheel(70),    // 140 links, a degree-70 hub: two failed-port words
     ]
 }
 
@@ -96,6 +99,7 @@ fn wide_zero_extended_masks_match_single_word_loads() {
     for g in single_word_graphs() {
         let m = g.edge_count();
         let p = ShortestPathPattern::new(&g);
+        let p = Forwarder::Interpreted(&p);
         let max_hops = state_space_bound(&g);
         let mut wide = SweepEngine::new(&g);
         let mut narrow = SweepEngine::new(&g);
@@ -110,8 +114,8 @@ fn wide_zero_extended_masks_match_single_word_loads() {
                 for t in g.nodes() {
                     assert_eq!(wide.same_component(s, t), narrow.same_component(s, t));
                     assert_eq!(
-                        wide.route_outcome(&p, s, t, max_hops),
-                        narrow.route_outcome(&p, s, t, max_hops)
+                        wide.route(&p, s, t, max_hops),
+                        narrow.route(&p, s, t, max_hops)
                     );
                 }
             }
@@ -166,6 +170,48 @@ fn incremental_toggle_equals_full_reload_beyond_64_links() {
             checked += 1;
         }
         assert!(checked > u64::BITS as usize, "swept past the wall");
+    }
+}
+
+#[test]
+fn multi_word_overlays_route_and_tour_like_the_simulator() {
+    // Both decision sources on multi-word masks: the hypercube and random
+    // graph compile, the wheel's degree-70 hub does not, so its walks read
+    // the interpreted source's multi-word failed-port rows.
+    let mut rng = StdRng::seed_from_u64(0x3A7);
+    for g in multi_word_graphs() {
+        let m = g.edge_count();
+        let p = ShortestPathPattern::new(&g);
+        let rotor = RotorPattern::clockwise(&g);
+        let (routing, touring) = (Forwarder::new(&g, &p), Forwarder::new(&g, &rotor));
+        let wide = g.nodes().any(|v| g.neighbors(v).count() >= 64);
+        assert_eq!(matches!(routing, Forwarder::Interpreted(_)), wide);
+        let max_hops = state_space_bound(&g);
+        let mut engine = SweepEngine::new(&g);
+        for k in [0usize, 1, 3, 8, 40] {
+            let mut mask = MaskBuf::for_edges(m);
+            for _ in 0..k {
+                mask.set(rand::Rng::gen_range(&mut rng, 0..m));
+            }
+            engine.load_mask(&mask);
+            let failures = engine.current_failure_set();
+            for s in g.nodes().step_by(3) {
+                for t in [Node(0), Node(g.node_count() / 2), Node(g.node_count() - 1)] {
+                    assert_eq!(
+                        engine.route(&routing, s, t, max_hops),
+                        route(&g, &failures, &p, s, t, max_hops).outcome,
+                        "{} nodes, {s}->{t}, F = {failures}",
+                        g.node_count()
+                    );
+                }
+                assert_eq!(
+                    engine.tour_covers(&touring, s, max_hops),
+                    tour(&g, &failures, &rotor, s, max_hops).covered_component,
+                    "{} nodes, start {s}, F = {failures}",
+                    g.node_count()
+                );
+            }
+        }
     }
 }
 
