@@ -18,6 +18,16 @@
 //!
 //! The differential suites assert all paths byte-identical; the summed
 //! outcome tallies below recheck it before sampling starts.
+//!
+//! The `resolve` rows time what a checker asks of each mask — the earliest
+//! undelivered pair — answered by [`SweepEngine::first_undelivered`]'s
+//! memoized pass (`memoized`) and by an `s`-major scan of per-pair
+//! [`SweepEngine::route`] calls (`per_pair`), on the sparse graphs where
+//! walks are long.  These rows sweep every mask, refuted ones included; a
+//! checker stops at its first refuted mask.  On a refuted mask the pass
+//! resolves every source of the destinations before the answer, where the
+//! scan stops at the first failure, so a row whose masks are mostly
+//! refuted (hypercube(4): three in four) can read slower memoized.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use frr_core::algorithms::{ArborescenceFailoverPattern, HamiltonianTouringPattern};
@@ -198,6 +208,81 @@ fn bench_k7_sweeps(c: &mut Criterion) {
     group.finish();
 }
 
+/// Per mask of the ≤ `max_failures` space: the earliest undelivered pair,
+/// by the memoized pass or by per-pair routes.
+fn sweep_first_undelivered<P: ForwardingPattern + ?Sized>(
+    engine: &mut SweepEngine<'_>,
+    g: &Graph,
+    forwarder: &Forwarder<'_, P>,
+    memoized: bool,
+    max_failures: usize,
+) -> Vec<Option<(Node, Node)>> {
+    let max_hops = state_space_bound(g);
+    let n = g.node_count();
+    let per_pair = |engine: &mut SweepEngine<'_>| {
+        for s in g.nodes() {
+            for t in g.nodes() {
+                if s != t
+                    && engine.same_component(s, t)
+                    && !engine.route(forwarder, s, t, max_hops).is_delivered()
+                {
+                    return Some((s, t));
+                }
+            }
+        }
+        None
+    };
+    FailureMasks::with_max_failures(g.edge_count(), Some(max_failures))
+        .map(|mask| {
+            engine.load_mask(&mask);
+            if memoized {
+                engine.first_undelivered(forwarder, 0..n)
+            } else {
+                per_pair(engine)
+            }
+        })
+        .collect()
+}
+
+fn bench_resolve_sweeps(c: &mut Criterion) {
+    let mut group = c.benchmark_group("routing_sim");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(300));
+    group.measurement_time(Duration::from_secs(2));
+    for (label, g, max_failures) in [
+        ("cycle40_f1", generators::cycle(40), 1),
+        ("grid6x6_f2", generators::grid(6, 6), 2),
+        ("hypercube4_f3", generators::hypercube(4), 3),
+    ] {
+        let pattern = ShortestPathPattern::new(&g);
+        let compiled = Forwarder::new(&g, &pattern);
+        assert!(
+            matches!(compiled, Forwarder::Compiled(_)),
+            "{label} compiles"
+        );
+        let mut engine = SweepEngine::new(&g);
+        assert_eq!(
+            sweep_first_undelivered(&mut engine, &g, &compiled, true, max_failures),
+            sweep_first_undelivered(&mut engine, &g, &compiled, false, max_failures),
+            "{label}: both flavors must agree on every mask"
+        );
+        for (memoized, flavor) in [(true, "memoized"), (false, "per_pair")] {
+            group.bench_function(format!("resolve/{flavor}/{label}"), |b| {
+                b.iter(|| {
+                    black_box(sweep_first_undelivered(
+                        &mut engine,
+                        &g,
+                        &compiled,
+                        memoized,
+                        max_failures,
+                    ))
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_single_routes(c: &mut Criterion) {
     let mut group = c.benchmark_group("routing_sim");
     group.sample_size(20);
@@ -230,5 +315,10 @@ fn bench_single_routes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_k7_sweeps, bench_single_routes);
+criterion_group!(
+    benches,
+    bench_k7_sweeps,
+    bench_resolve_sweeps,
+    bench_single_routes
+);
 criterion_main!(benches);

@@ -544,6 +544,16 @@ impl CompiledPattern {
         }
     }
 
+    /// `true` if the table serving a packet depends on its source: only
+    /// source–destination tables do.  Every other table family is keyed by
+    /// the destination alone (or by nothing), so a decision is a function
+    /// of the state — what the memoized resolve pass of
+    /// [`crate::sweep::SweepEngine::first_undelivered`] relies on.
+    #[inline]
+    pub(crate) fn reads_source(&self) -> bool {
+        matches!(self.tables, Tables::PerPair(_))
+    }
+
     /// One forwarding decision on the compiled tables: the **global port**
     /// taken out of `v` given its in-port index and failed-port mask, or
     /// `None` to drop.  The next node is `csr.ports[p]` and the next in-port

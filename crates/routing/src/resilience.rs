@@ -82,7 +82,7 @@ fn check_edge_limit(g: &Graph, limit: usize) -> Result<(), EdgeLimitExceeded> {
 /// Replays a failing routing scenario through the plain simulator to attach
 /// the packet's path to the counterexample (the sweep hot loop itself never
 /// builds paths).
-fn replay_route<P: ForwardingPattern + ?Sized>(
+pub(crate) fn replay_route<P: ForwardingPattern + ?Sized>(
     g: &Graph,
     pattern: &P,
     failures: FailureSet,
@@ -138,11 +138,9 @@ fn sweep_routing_budgeted<P: CompilePattern + ?Sized>(
     mask_budget: Option<u64>,
     stop: &StopSignal,
 ) -> SweepReport<Counterexample> {
-    let max_hops = state_space_bound(g);
-    let n = g.node_count();
-    let (t_lo, t_hi) = match destination {
-        Some(t) => (t.index(), t.index() + 1),
-        None => (0, n),
+    let destinations = match destination {
+        Some(t) => t.index()..t.index() + 1,
+        None => 0..g.node_count(),
     };
     // Compile once per sweep; the tables are shared by every worker thread.
     let forwarder = Forwarder::new(g, pattern);
@@ -152,17 +150,8 @@ fn sweep_routing_budgeted<P: CompilePattern + ?Sized>(
         mask_budget,
         stop,
         |engine: &mut SweepEngine<'_>| {
-            for s in (0..n).map(Node) {
-                for t in (t_lo..t_hi).map(Node) {
-                    if s == t || !engine.same_component(s, t) {
-                        continue;
-                    }
-                    if !engine.route(&forwarder, s, t, max_hops).is_delivered() {
-                        return Some(replay_route(g, pattern, engine.current_failure_set(), s, t));
-                    }
-                }
-            }
-            None
+            let (s, t) = engine.first_undelivered(&forwarder, destinations.clone())?;
+            Some(replay_route(g, pattern, engine.current_failure_set(), s, t))
         },
     )
 }
@@ -220,6 +209,11 @@ pub fn is_perfectly_resilient<P: CompilePattern + ?Sized>(
 
 /// Checks perfect resilience for a **fixed destination** `t` exhaustively
 /// (every failure set, every source still connected to `t`).
+///
+/// # Panics
+///
+/// Panics if the graph has more than [`EXHAUSTIVE_EDGE_LIMIT`] links, or if
+/// `t` is not a node of `g`.
 pub fn is_perfectly_resilient_for_destination<P: CompilePattern + ?Sized>(
     g: &Graph,
     pattern: &P,
@@ -228,6 +222,11 @@ pub fn is_perfectly_resilient_for_destination<P: CompilePattern + ?Sized>(
     assert!(
         g.edge_count() <= EXHAUSTIVE_EDGE_LIMIT,
         "exhaustive perfect-resilience check limited to {EXHAUSTIVE_EDGE_LIMIT} links"
+    );
+    assert!(
+        t.index() < g.node_count(),
+        "destination {t} is not a node of a {}-node graph",
+        g.node_count()
     );
     sweep_routing(g, pattern, None, Some(t))
 }
@@ -985,6 +984,14 @@ mod tests {
                 reference.is_some()
             ),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "destination v7 is not a node of a 5-node graph")]
+    fn pinned_destination_outside_the_graph_panics_up_front() {
+        let g = generators::cycle(5);
+        let p = ShortestPathPattern::new(&g);
+        let _ = is_perfectly_resilient_for_destination(&g, &p, Node(7));
     }
 
     #[test]

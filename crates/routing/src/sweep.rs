@@ -28,6 +28,10 @@
 //!   the [`crate::walk`] kernels against the overlay, with the exact
 //!   simulator semantics (same `(node, in-port)` state space, same fault
 //!   rules).
+//! * [`SweepEngine::first_undelivered`] answers a whole mask: the earliest
+//!   connected `(s, t)` pair that is not delivered.  On compiled tables that
+//!   ignore the source it runs the memoized [`walk::resolve`] pass, one per
+//!   destination; otherwise it routes pair by pair.
 //! * [`sweep_find_first`] drives a whole sweep over the canonical
 //!   **Gray-code enumeration order** of [`GrayMasks`] (weight-ordered:
 //!   smaller failure sets first), sharding the enumeration positions across
@@ -48,15 +52,16 @@
 //! the `W = 1` path stays as tight as the historical single-`u64` code.
 
 use crate::budget::StopCause;
-use crate::compiled::PortGraph;
+use crate::compiled::{CompiledPattern, PortGraph};
 use crate::failure::{capped_mask_count, FailureSet, GrayMasks};
 use crate::mask::{mask_words, IntoMaskRef, MaskBuf, MaskRef};
 use crate::pattern::ForwardingPattern;
-use crate::simulator::Outcome;
-use crate::walk::{self, Forwarder, InterpretedSource, TableSource, WalkScratch};
+use crate::simulator::{state_space_bound, Outcome};
+use crate::walk::{self, Forwarder, InterpretedSource, ResolveMemo, TableSource, WalkScratch};
 use frr_graph::bitgraph::{BitGraph, BitIter};
 use frr_graph::budget::StopSignal;
 use frr_graph::{Edge, Graph, Node};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -162,6 +167,8 @@ pub struct SweepEngine<'g> {
     // ---- per-simulation scratch ----
     /// The walk kernels' scratch.
     walk: WalkScratch,
+    /// The resolve pass's per-state marks.
+    memo: ResolveMemo,
     /// Packed node bitsets for the component BFS.
     visit_a: Vec<u64>,
     visit_b: Vec<u64>,
@@ -194,7 +201,10 @@ pub struct SweepStats {
     pub bridges_found: u64,
     /// Edge revivals that merged two components.
     pub component_merges: u64,
-    /// Routing simulations ([`SweepEngine::route`]).
+    /// Sources resolved: one per [`SweepEngine::route`] call, and one per
+    /// source a [`SweepEngine::first_undelivered`] pass resolves.  On a mask
+    /// where every pair delivers, that is one per connected ordered pair
+    /// either way.
     pub routes: u64,
     /// Touring simulations ([`SweepEngine::tour_covers`]).
     pub tours: u64,
@@ -259,6 +269,7 @@ impl<'g> SweepEngine<'g> {
             comp_size: Vec::with_capacity(n),
             free_comp: Vec::new(),
             walk: WalkScratch::new(&csr),
+            memo: ResolveMemo::new(&csr),
             visit_a: vec![0; words],
             visit_b: vec![0; words],
             visit_c: vec![0; words],
@@ -587,6 +598,77 @@ impl<'g> SweepEngine<'g> {
                 walk::route(&src, scratch, source, destination, max_hops, &mut ()).0
             }
         }
+    }
+
+    /// The earliest ordered pair `(s, t)`, `s` major, with `t` in
+    /// `destinations` (node indices), `s ≠ t` connected in `G \ F`, whose
+    /// packet the loaded overlay does not deliver — `None` if every such
+    /// pair is delivered.  A packet counts as undelivered exactly when
+    /// [`SweepEngine::route`] under [`state_space_bound`] says so.
+    ///
+    /// On compiled tables that ignore the source (everything but
+    /// source–destination tables), each destination gets one memoized
+    /// [`walk::resolve`] pass over its sources in ascending order.  The
+    /// first failing source of each destination is its earliest pair; the
+    /// minimum over destinations of `(that source, t)` is the earliest pair
+    /// in `s`-major order, and a destination's pass stops at the best
+    /// source found so far.  Source–destination tables and interpreted
+    /// patterns (whose `next_hop` sees the real source, whatever model it
+    /// declares) route pair by pair in `s`-major order.
+    pub fn first_undelivered<P: ForwardingPattern + ?Sized>(
+        &mut self,
+        forwarder: &Forwarder<'_, P>,
+        destinations: Range<usize>,
+    ) -> Option<(Node, Node)> {
+        debug_assert!(destinations.end <= self.n, "destination out of range");
+        if let Forwarder::Compiled(cp) = forwarder {
+            if !cp.reads_source() {
+                return self.first_undelivered_resolved(cp, destinations);
+            }
+        }
+        let max_hops = state_space_bound(self.graph);
+        for s in (0..self.n).map(Node) {
+            for t in destinations.clone().map(Node) {
+                if s != t
+                    && self.same_component(s, t)
+                    && !self.route(forwarder, s, t, max_hops).is_delivered()
+                {
+                    return Some((s, t));
+                }
+            }
+        }
+        None
+    }
+
+    /// [`SweepEngine::first_undelivered`]'s memoized path.
+    fn first_undelivered_resolved(
+        &mut self,
+        cp: &CompiledPattern,
+        destinations: Range<usize>,
+    ) -> Option<(Node, Node)> {
+        debug_assert!(cp.matches_shape(self.n, self.edges.len()));
+        let mut best: Option<(Node, Node)> = None;
+        for t in destinations.map(Node) {
+            let sources_end = best.map_or(self.n, |(s, _)| s.index());
+            if sources_end == 0 {
+                // No later destination can beat source 0.
+                break;
+            }
+            // The table is chosen by destination; the source is a stand-in.
+            let src = TableSource::new(cp, t, t, &self.failed_ports, self.port_words);
+            self.memo.next_pass();
+            for s in (0..sources_end).map(Node) {
+                if s == t || !self.same_component(s, t) {
+                    continue;
+                }
+                self.stats.routes += 1;
+                if !walk::resolve(&src, &mut self.memo, s, t) {
+                    best = Some((s, t));
+                    break;
+                }
+            }
+        }
+        best
     }
 
     /// Simulates the touring model under the loaded overlay and returns

@@ -10,6 +10,10 @@
 //! and over a path sink: the sweeps record nothing, `CompiledSim` records
 //! the walk.  [`Forwarder::new`] is the one place that picks the source.
 //!
+//! Beside them, [`resolve`] is the memoized form of the route loop for
+//! tables that ignore the packet's source: it answers "delivered?" for every
+//! source of one `(mask, destination)` pass while walking each state once.
+//!
 //! [`crate::simulator::route`] / [`crate::simulator::tour`] stay separate
 //! loops on purpose: they are the independent oracle the differential suites
 //! compare these kernels against.
@@ -272,6 +276,101 @@ pub(crate) fn tour<D: DecisionSource, S: PathSink>(
     (remaining == 0, returned_to_start)
 }
 
+/// The resolve pass's state marks: one `u32` per CSR state, `epoch << 1 |
+/// delivered`, where a mark counts only if its epoch is the current pass's.
+/// Starting a pass bumps the epoch, so nothing is cleared between passes
+/// except once every `MAX_EPOCH` passes, when the epoch wraps.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ResolveMemo {
+    marks: Vec<u32>,
+    epoch: u32,
+    /// The states the current walk entered, labelled when it ends.
+    path: Vec<u32>,
+}
+
+/// The outcome bit of a [`ResolveMemo`] mark.  Epochs start at 1, so a
+/// zeroed array holds no mark for any pass.
+const DELIVERED: u32 = 1;
+/// The largest epoch that fits beside the outcome bit.
+const MAX_EPOCH: u32 = u32::MAX >> 1;
+
+impl ResolveMemo {
+    /// A memo sized for `csr`'s state space.
+    pub(crate) fn new(csr: &PortGraph) -> Self {
+        ResolveMemo {
+            marks: vec![0; csr.state_count()],
+            epoch: 0,
+            path: Vec::with_capacity(csr.state_count()),
+        }
+    }
+
+    /// Starts a pass for a new `(mask, destination)` pair: forgets every
+    /// mark, in `O(1)` except on epoch wrap.
+    #[inline]
+    pub(crate) fn next_pass(&mut self) {
+        if self.epoch == MAX_EPOCH {
+            self.marks.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+}
+
+/// Whether a packet from `source` reaches `destination` under a decision
+/// source that ignores the packet's source, sharing work with the earlier
+/// calls of the same [`ResolveMemo::next_pass`] pass.
+///
+/// With the source out of the header, the next hop is a function of the
+/// state alone, so a state's outcome is the same for every walk that enters
+/// it.  The walk marks each state it enters as not delivered and stops at
+/// the first state already marked, inheriting its outcome: a state the
+/// same walk marked means a loop, which is no delivery either.  A walk
+/// that delivers relabels its states as delivered.  The start state
+/// `(source, ⊥)` is never entered by a hop, so it is not marked, and a
+/// one-hop delivery touches the memo not at all.  Every hop enters a fresh
+/// state or ends the walk, so a walk takes at most `2m + n` hops and needs
+/// no hop limit; callers must only use this where [`route`] would have a
+/// hop limit at least that large, where the two agree on delivery.
+/// `source != destination`.
+pub(crate) fn resolve<D: DecisionSource>(
+    src: &D,
+    memo: &mut ResolveMemo,
+    source: Node,
+    destination: Node,
+) -> bool {
+    debug_assert_ne!(source, destination);
+    debug_assert_ne!(memo.epoch, 0, "resolve before the first next_pass");
+    let csr = src.csr();
+    let epoch = memo.epoch;
+    memo.path.clear();
+    let (mut v, mut inport_idx) = (source.index(), csr.degree(source.index()));
+    let delivered = loop {
+        let Some(port) = src.decide(v, inport_idx) else {
+            break false;
+        };
+        (v, inport_idx) = (
+            csr.port_target(port as usize),
+            csr.reverse_port(port as usize),
+        );
+        if v == destination.index() {
+            break true;
+        }
+        let state = csr.state_base(v) + inport_idx;
+        let mark = &mut memo.marks[state as usize];
+        if *mark >> 1 == epoch {
+            break *mark & DELIVERED != 0;
+        }
+        *mark = epoch << 1;
+        memo.path.push(state);
+    };
+    if delivered {
+        for &state in &memo.path {
+            memo.marks[state as usize] = epoch << 1 | DELIVERED;
+        }
+    }
+    delivered
+}
+
 /// A pattern ready to walk: its compiled tables when it compiles, the
 /// pattern itself otherwise.  Outcomes are identical either way (the
 /// compiled tables replicate `next_hop` exactly); only the speed differs.
@@ -324,6 +423,73 @@ impl<P: ForwardingPattern + ?Sized> Forwarder<'_, P> {
             }
             Forwarder::Interpreted(p) => {
                 oracle_route(g, failures, *p, source, destination, max_hops)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pattern::{RotorPattern, ShortestPathPattern};
+    use crate::simulator::state_space_bound;
+    use frr_graph::generators;
+
+    /// One failed-port word per node for `failures` on `csr`.
+    fn failed_port_words(csr: &PortGraph, failures: &FailureSet) -> Vec<u64> {
+        (0..csr.node_count())
+            .map(|v| {
+                csr.ports_of(v)
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &u)| failures.contains(Node(v), Node(u as usize)))
+                    .fold(0, |word, (p, _)| word | 1 << p)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resolve_survives_epoch_wrap() {
+        let g = generators::grid(3, 4);
+        let csr = PortGraph::new(&g);
+        let max_hops = state_space_bound(&g);
+        let n = g.node_count();
+        let patterns: [Box<dyn CompilePattern>; 2] = [
+            Box::new(ShortestPathPattern::new(&g)),
+            Box::new(RotorPattern::clockwise(&g)),
+        ];
+        for pattern in &patterns {
+            let cp = pattern.compile(&g).expect("the grid compiles");
+            for skip in [1, 3, 5] {
+                let failures = FailureSet::from_edges(g.edges().into_iter().step_by(skip).take(4));
+                let ports = failed_port_words(&csr, &failures);
+                let mut scratch = WalkScratch::new(&csr);
+                let mut memo = ResolveMemo::new(&csr);
+                let mut resolve_all = |memo: &mut ResolveMemo, t: usize| {
+                    let t = Node(t);
+                    let src = TableSource::new(&cp, t, t, &ports, 1);
+                    memo.next_pass();
+                    for s in g.nodes().filter(|&s| s != t) {
+                        let expected = route(&src, &mut scratch, s, t, max_hops, &mut ()).0;
+                        assert_eq!(
+                            resolve(&src, memo, s, t),
+                            expected.is_delivered(),
+                            "{} under {failures}, {s}->{t}, epoch {}",
+                            pattern.name(),
+                            memo.epoch
+                        );
+                    }
+                };
+                // Epoch 1 leaves marks for destination 0; after the wrap,
+                // epoch 1 comes round again for another destination, and
+                // only the wrap's clear keeps those stale marks unread.
+                resolve_all(&mut memo, 0);
+                memo.epoch = MAX_EPOCH - 2;
+                for t in 1..n {
+                    resolve_all(&mut memo, t);
+                }
+                // Passes ran at MAX_EPOCH - 1, MAX_EPOCH, then 1..=n - 3.
+                assert_eq!(memo.epoch as usize, n - 3, "the epoch wrapped");
             }
         }
     }
